@@ -37,7 +37,7 @@ def run(label, throughput, rb="sender", crash=None):
     system.run(until=3.0, max_events=5_000_000)
     check_abcast(system.trace, system.config)
 
-    rounds = round_statistics(system)
+    rounds = round_statistics(system.trace)
     batches = batch_statistics(system.trace)
     traffic = traffic_breakdown(system.network)
     sends = len(system.trace.abroadcasts())

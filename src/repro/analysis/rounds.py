@@ -13,58 +13,27 @@ Two per-instance numbers:
   way: a process moves on right after Phase 3); the gap between churn
   and decision rounds measures that harmless overshoot.
 
-Rounds are per-process state (not trace events), so this analysis reads
-the consensus services of a finished :class:`~repro.stack.builder.System`.
+Rounds come from the event stream: each
+:class:`~repro.core.events.DecideEvent` carries the deciding process's
+round-entry times (the instance retires on decision, so its state is
+gone after the run).  The fold is the consensus probe's
+:class:`~repro.metrics.probes.RoundTally`; :func:`round_statistics`
+runs it over a retained trace.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import Any
 
-from repro.metrics.stats import SummaryStats, summarize
-from repro.stack.builder import System
+from repro.metrics.probes import RoundStatistics, RoundTally
 
-
-@dataclass(frozen=True)
-class RoundStatistics:
-    """Decision-round and churn-round distributions across instances."""
-
-    instances: int
-    first_round_decisions: int
-    decision_rounds: SummaryStats
-    churn_rounds: SummaryStats
-
-    @property
-    def first_round_fraction(self) -> float:
-        """Share of instances decided in round 1 (no rotation needed)."""
-        if self.instances == 0:
-            return 0.0
-        return self.first_round_decisions / self.instances
+__all__ = ["RoundStatistics", "round_statistics"]
 
 
-def round_statistics(system: System) -> RoundStatistics:
-    """Compute round statistics over every decided instance."""
-    decision: dict[int, int] = {}
-    churn: dict[int, int] = {}
-    for consensus in system.consensuses.values():
-        for k, instance in getattr(consensus, "_instances", {}).items():
-            if not consensus.has_decided(k) or not instance.proposed:
-                continue
-            rounds = max(1, instance.rounds_executed)
-            decision[k] = min(decision.get(k, rounds), rounds)
-            churn[k] = max(churn.get(k, 0), rounds)
-    if not decision:
-        empty = summarize([0.0])
-        return RoundStatistics(
-            instances=0,
-            first_round_decisions=0,
-            decision_rounds=empty,
-            churn_rounds=empty,
-        )
-    decided = [float(r) for r in decision.values()]
-    return RoundStatistics(
-        instances=len(decided),
-        first_round_decisions=sum(1 for r in decided if r <= 1.0),
-        decision_rounds=summarize(decided),
-        churn_rounds=summarize([float(r) for r in churn.values()]),
-    )
+def round_statistics(trace: Any) -> RoundStatistics:
+    """Compute round statistics over every decided instance of a
+    retained :class:`~repro.sim.trace.Trace`."""
+    tally = RoundTally()
+    for event in trace.decides():
+        tally.add(event)
+    return tally.statistics()

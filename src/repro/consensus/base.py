@@ -13,6 +13,17 @@ per-instance state machine; the base class owns:
 * buffering of frames that arrive before the local ``propose`` (a
   process may receive round messages or even decisions for instances it
   has not started yet);
+* the **live table**: ``_instances`` holds only undecided instances.
+  Deciding retires an instance — it is stopped and dropped, and its
+  round-entry times leave with the ``DecideEvent``.  Late frames and
+  late ``propose`` calls for a retired ``k`` are dropped against
+  ``decided``, so a retired instance is never re-created;
+* **rcv wake-ups**: the only wait that depends on ``rcv`` is the
+  ``missing_policy == "wait"`` stall of the CT Phase 3.  An instance
+  parked there registers with the service, and ``notify_rcv_update``
+  wakes the parked instances only.  Every consensus fan-out (rcv
+  notifies, detector changes) therefore costs in proportion to live
+  state, never to the run's history;
 * trace records (``ProposeEvent`` / ``DecideEvent``) and the resilience
   guard that enforces each algorithm's ``f`` bound at configuration time.
 """
@@ -127,10 +138,12 @@ class ConsensusService:
         self.detector = detector
         self.codec = codec
         self.charge_rcv = charge_rcv
+        #: Live (undecided) instances by ``k``; deciding retires one.
         self._instances: dict[int, Any] = {}
+        #: Instances parked on ``rcv`` (see :meth:`park_on_rcv`), by ``k``.
+        self._rcv_parked: dict[int, Any] = {}
         self._callbacks: list[DecideCallback] = []
         self.decided: dict[int, Any] = {}
-        self._decide_forwarded: set[int] = set()
         transport.register(f"{self.PREFIX}.decide", self._on_decide_frame)
         detector.on_change(self._on_detector_change)
 
@@ -196,6 +209,9 @@ class ConsensusService:
     # ------------------------------------------------------------------
 
     def _instance(self, k: int) -> Any:
+        """The live instance ``k``, created on first use.  Callers drop
+        events for decided ``k`` first, so a retired instance never
+        comes back."""
         instance = self._instances.get(k)
         if instance is None:
             instance = self._make_instance(k)
@@ -211,17 +227,25 @@ class ConsensusService:
         for instance in list(self._instances.values()):
             instance.on_detector_change()
 
+    def park_on_rcv(self, instance: Any) -> None:
+        """``instance`` waits for ``rcv`` to flip; wake it on the next
+        :meth:`notify_rcv_update`."""
+        self._rcv_parked[instance.k] = instance
+
     def notify_rcv_update(self) -> None:
         """The layer above received a new message: any wait whose rcv
         predicate may have flipped to true is re-evaluated.
 
-        A no-op for the original algorithms (they never consult rcv);
-        the indirect instances re-run their pending phase checks.
+        Only instances parked on ``rcv`` are woken, in ascending ``k``;
+        one that still waits parks again.  A no-op for every algorithm
+        and policy that never waits on ``rcv``.
         """
-        if self.process.crashed:
+        if self.process.crashed or not self._rcv_parked:
             return
-        for instance in list(self._instances.values()):
-            instance.on_rcv_update()
+        parked = self._rcv_parked
+        self._rcv_parked = {}
+        for k in sorted(parked):
+            parked[k].on_rcv_update()
 
     # ------------------------------------------------------------------
     # rcv accounting
@@ -259,11 +283,12 @@ class ConsensusService:
 
     def _on_decide_frame(self, frame: Frame) -> None:
         k, value = frame.body
-        if k not in self._decide_forwarded:
+        if k not in self.decided:
             # First receipt: forward to everybody else before deciding,
             # which is what makes the decide diffusion a *reliable*
-            # broadcast (any correct receiver re-diffuses).
-            self._decide_forwarded.add(k)
+            # broadcast (any correct receiver re-diffuses).  Frames are
+            # never dispatched at a crashed process, so the decision
+            # below always follows the forward.
             self.transport.send_all(
                 f"{self.PREFIX}.decide",
                 body=(k, value),
@@ -273,19 +298,24 @@ class ConsensusService:
         self._decide_local(k, value)
 
     def _decide_local(self, k: int, value: Any) -> None:
-        """Decide instance ``k`` (at most once per process)."""
+        """Decide instance ``k`` (at most once per process) and retire
+        its state machine."""
         if k in self.decided or self.process.crashed:
             return
         self.decided[k] = value
-        instance = self._instances.get(k)
+        self._rcv_parked.pop(k, None)
+        instance = self._instances.pop(k, None)
+        entries: tuple[float, ...] = ()
         if instance is not None:
             instance.stop()
+            entries = tuple(instance.round_entries)
         self.process.trace.record(
             DecideEvent(
                 time=self.process.engine.now,
                 process=self.pid,
                 instance=k,
                 value=self.codec.to_ids(value),
+                round_entries=entries,
             )
         )
         for callback in self._callbacks:

@@ -65,7 +65,6 @@ class CtInstance:
         "proposed_value",
         "phase3_done",
         "phase4_done",
-        "rounds_executed",
         "round_entries",
     )
 
@@ -88,9 +87,9 @@ class CtInstance:
         self.proposed_value: dict[int, Any] = {}
         self.phase3_done: set[int] = set()
         self.phase4_done: set[int] = set()
-        #: Number of rounds this process started (diagnostics/tests).
-        self.rounds_executed = 0
-        #: Simulated time at which each round was entered (obs spans).
+        #: Simulated time at which each round was entered; handed to
+        #: the DecideEvent when the instance retires (round analysis,
+        #: obs spans).
         self.round_entries: list[float] = []
 
     # ------------------------------------------------------------------
@@ -102,6 +101,11 @@ class CtInstance:
         self.estimate = value
         self.rcv = rcv
         self._enter_round()
+
+    @property
+    def rounds_executed(self) -> int:
+        """Number of rounds this process started."""
+        return len(self.round_entries)
 
     def stop(self) -> None:
         """Instance decided (or abandoned); ignore all further events."""
@@ -118,7 +122,6 @@ class CtInstance:
     def _enter_round(self) -> None:
         svc = self.service
         self.r += 1
-        self.rounds_executed += 1
         self.round_entries.append(svc.process.engine.now)
         r = self.r
         c = svc.config.coordinator(r)
@@ -160,8 +163,9 @@ class CtInstance:
         self._try_phase3()
 
     def on_rcv_update(self) -> None:
-        """A new message arrived upstairs; a pending rcv-gated Phase 3
-        wait may now pass (wait-for-messages policy only)."""
+        """A new message arrived upstairs; the rcv-gated Phase 3 wait
+        this instance parked on may now pass (wait-for-messages policy
+        only)."""
         self._try_phase3()
 
     # ------------------------------------------------------------------
@@ -225,8 +229,9 @@ class CtInstance:
             ):
                 # Ablation policy: instead of nacking (Algorithm 2 line
                 # 30), stall Phase 3 until the missing messages arrive
-                # (re-triggered via on_rcv_update) or the coordinator is
-                # suspected.
+                # (the service wakes parked instances via on_rcv_update)
+                # or the coordinator is suspected.
+                svc.park_on_rcv(self)
                 return
             else:
                 # The proposal was refused: the messages behind it are

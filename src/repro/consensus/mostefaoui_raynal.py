@@ -68,7 +68,6 @@ class MrInstance:
         "echoes",
         "echoed",
         "evaluated",
-        "rounds_executed",
         "round_entries",
     )
 
@@ -84,8 +83,9 @@ class MrInstance:
         self.echoes: dict[int, dict[int, Any]] = {}
         self.echoed: set[int] = set()
         self.evaluated: set[int] = set()
-        self.rounds_executed = 0
-        #: Simulated time at which each round was entered (obs spans).
+        #: Simulated time at which each round was entered; handed to
+        #: the DecideEvent when the instance retires (round analysis,
+        #: obs spans).
         self.round_entries: list[float] = []
 
     # ------------------------------------------------------------------
@@ -98,6 +98,11 @@ class MrInstance:
         self.rcv = rcv
         self._enter_round()
 
+    @property
+    def rounds_executed(self) -> int:
+        """Number of rounds this process started."""
+        return len(self.round_entries)
+
     def stop(self) -> None:
         self.stopped = True
 
@@ -108,7 +113,6 @@ class MrInstance:
     def _enter_round(self) -> None:
         svc = self.service
         self.r += 1
-        self.rounds_executed += 1
         self.round_entries.append(svc.process.engine.now)
         r = self.r
         if svc.pid == svc.config.coordinator(r):
@@ -133,8 +137,9 @@ class MrInstance:
 
     def on_rcv_update(self) -> None:
         """New message upstairs.  The MR adaptation echoes ⊥ immediately
-        rather than waiting (Algorithm 3 line 19), so nothing pends on
-        rcv here; the hook exists for interface uniformity."""
+        rather than waiting (Algorithm 3 line 19), so an MR instance
+        never parks on rcv and is never woken; the hook exists for
+        interface uniformity."""
 
     # ------------------------------------------------------------------
     # Phase 1 (non-coordinator): echo the coordinator's value or ⊥

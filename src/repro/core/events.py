@@ -74,11 +74,17 @@ class DecideEvent(ProtocolEvent):
     the moment of the *first* decision of the instance — the observation
     the No loss checker needs (it must hold at decision time ``t``, not
     merely eventually).
+
+    ``round_entries`` holds the simulated times at which the deciding
+    process entered each round of the instance (empty if it decided
+    without proposing).  The instance retires on decision, so this is
+    where round analysis and the span forest read its rounds from.
     """
 
     instance: int
     value: frozenset[MessageId]
     holders_at_decision: frozenset[ProcessId] = frozenset()
+    round_entries: tuple[float, ...] = ()
 
 
 @dataclass(frozen=True, slots=True)

@@ -60,7 +60,7 @@ from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping
 
 from repro.core.events import DecideEvent, ProposeEvent, ProtocolEvent
 from repro.core.exceptions import ConfigurationError
-from repro.metrics.stats import summarize
+from repro.metrics.stats import SummaryStats, summarize
 from repro.sim.trace import MetricsTrace
 from repro.stack.registry import LayerRegistry
 
@@ -330,9 +330,66 @@ class TrafficProbe(Probe):
         return MetricValue.of(fields=fields)
 
 
+@dataclass(frozen=True)
+class RoundStatistics:
+    """Decision-round and churn-round distributions across instances
+    (see :mod:`repro.analysis.rounds` for the two measures)."""
+
+    instances: int
+    first_round_decisions: int
+    decision_rounds: SummaryStats
+    churn_rounds: SummaryStats
+
+    @property
+    def first_round_fraction(self) -> float:
+        """Share of instances decided in round 1 (no rotation needed)."""
+        if self.instances == 0:
+            return 0.0
+        return self.first_round_decisions / self.instances
+
+
+class RoundTally:
+    """Streaming fold of decide events into per-instance round counts.
+
+    Each :class:`~repro.core.events.DecideEvent` carries the deciding
+    process's round-entry times.  A decide at a process that never
+    proposed the instance (it learnt the decision from the flood)
+    entered no round and is not counted.
+    """
+
+    def __init__(self) -> None:
+        self._decision: dict[int, int] = {}
+        self._churn: dict[int, int] = {}
+
+    def add(self, event: DecideEvent) -> None:
+        rounds = len(event.round_entries)
+        if not rounds:
+            return
+        k = event.instance
+        self._decision[k] = min(self._decision.get(k, rounds), rounds)
+        self._churn[k] = max(self._churn.get(k, 0), rounds)
+
+    def statistics(self) -> RoundStatistics:
+        if not self._decision:
+            empty = summarize([0.0])
+            return RoundStatistics(
+                instances=0,
+                first_round_decisions=0,
+                decision_rounds=empty,
+                churn_rounds=empty,
+            )
+        decided = [float(r) for r in self._decision.values()]
+        return RoundStatistics(
+            instances=len(decided),
+            first_round_decisions=sum(1 for r in decided if r <= 1.0),
+            decision_rounds=summarize(decided),
+            churn_rounds=summarize([float(r) for r in self._churn.values()]),
+        )
+
+
 class ConsensusProbe(Probe):
-    """Consensus work: decided instances (streamed off the event
-    trace) plus round statistics read from the consensus services.
+    """Consensus work: decided instances and round statistics, all
+    streamed off the event trace (decide events carry their rounds).
 
     Stacks without a consensus layer (the sequencer) report zeros.
     """
@@ -342,18 +399,18 @@ class ConsensusProbe(Probe):
         self._decided: set[int] = set()
         self._decides = 0
         self._proposals = 0
+        self._rounds = RoundTally()
 
     def on_event(self, event: ProtocolEvent) -> None:  # type: ignore[override]
         if isinstance(event, DecideEvent):
             self._decided.add(event.instance)
             self._decides += 1
+            self._rounds.add(event)
         elif isinstance(event, ProposeEvent):
             self._proposals += 1
 
     def finish(self, system: Any, sent: int) -> MetricValue:
-        from repro.analysis.rounds import round_statistics
-
-        rounds = round_statistics(system)
+        rounds = self._rounds.statistics()
         return MetricValue.of(
             fields={
                 "instances_decided": len(self._decided),

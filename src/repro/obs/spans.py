@@ -31,7 +31,8 @@ The span forest (per recorder, i.e. per abcast group):
 * ``consensus`` — one root per (process, instance), propose → decide;
   children: one ``round`` span per executed round, cut at the next
   round's entry time (round entry times are recorded by the consensus
-  instances themselves — one float append per round).
+  instances themselves — one float append per round — and travel on
+  the ``DecideEvent`` when the instance retires).
 * ``crash`` — zero-width marker at the crash instant.
 * ``tx-vote`` — zero-width service-level marker per accepted
   two-group-commit vote (wired via
@@ -161,8 +162,9 @@ class SpanRecorder(Probe):
         self._order = 0
         self._msgs: dict[Any, _Msg] = {}
         self._rbs: dict[Any, _Rb] = {}
-        #: (pid, instance) -> [first propose time, first decide time]
-        self._cons: dict[tuple[int, int], list[float | None]] = {}
+        #: (pid, instance) -> [first propose time, first decide time,
+        #: round entry times carried by that decide]
+        self._cons: dict[tuple[int, int], list[Any]] = {}
         self._crashes: list[tuple[float, int]] = []
         self._votes: list[tuple[float, int, str, bool]] = []
 
@@ -211,14 +213,15 @@ class SpanRecorder(Probe):
             rb.uniform = rb.uniform or event.uniform
         elif cls is ProposeEvent:
             key = (event.process, event.instance)
-            times = self._cons.setdefault(key, [None, None])
+            times = self._cons.setdefault(key, [None, None, ()])
             if times[0] is None:
                 times[0] = event.time
         elif cls is DecideEvent:
             key = (event.process, event.instance)
-            times = self._cons.setdefault(key, [None, None])
+            times = self._cons.setdefault(key, [None, None, ()])
             if times[1] is None:
                 times[1] = event.time
+                times[2] = event.round_entries
         elif cls is CrashEvent:
             self._crashes.append((event.time, event.process))
 
@@ -243,9 +246,10 @@ class SpanRecorder(Probe):
 
         Args:
             system: Optional built :class:`~repro.stack.builder.System`
-                (or a sharded group); when given, consensus spans gain
-                per-round children read from the instances'
-                ``round_entries`` timestamps.
+                (or a sharded group).  Decided instances get per-round
+                children from their decide events; when ``system`` is
+                given, instances still undecided at finish get them from
+                the live instances' ``round_entries`` timestamps.
         """
         out: list[Span] = []
         sid = 0
@@ -335,18 +339,18 @@ class SpanRecorder(Probe):
 
         # Consensus instance + round spans.
         consensuses = getattr(system, "consensuses", None) or {}
-        for (pid, k), (propose_t, decide_t) in sorted(
+        for (pid, k), (propose_t, decide_t, entries) in sorted(
             self._cons.items(),
             key=lambda item: (
-                min(t for t in item[1] if t is not None),
+                min(t for t in item[1][:2] if t is not None),
                 item[0],
             ),
         ):
-            entries: list[float] = []
             service = consensuses.get(pid)
-            if service is not None:
+            if decide_t is None and service is not None:
+                # Undecided at finish: still in the live table.
                 instance = service._instances.get(k)
-                entries = list(getattr(instance, "round_entries", ()) or ())
+                entries = getattr(instance, "round_entries", ())
             start_candidates = [t for t in (propose_t, decide_t) if t is not None]
             if entries:
                 start_candidates.append(entries[0])

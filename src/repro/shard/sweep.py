@@ -197,11 +197,11 @@ def run_shard_point(point: ShardPoint) -> ResultSet:
         workloads.append(workload)
 
     def quiet() -> bool:
-        return (
-            service.engine.now > point.duration and router.pending() == 0
-        )
+        # Polled only once the clock is past the load window.
+        return router.pending() == 0
 
-    service.run(
+    service.engine.run_then_poll(
+        point.duration,
         until=point.duration + point.drain,
         max_events=point.max_events,
         stop_when=quiet,

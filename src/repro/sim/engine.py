@@ -581,3 +581,24 @@ class Engine:
     def run_until_idle(self, max_events: int | None = None) -> float:
         """Run until no events remain (convenience for tests)."""
         return self.run(until=None, max_events=max_events)
+
+    def run_then_poll(
+        self,
+        poll_from: float,
+        until: float,
+        max_events: int | None = None,
+        stop_when: Callable[[], bool] | None = None,
+    ) -> float:
+        """:meth:`run` for a ``stop_when`` that cannot hold before the
+        clock passes ``poll_from`` (e.g. "the load has ended and drained").
+
+        Runs to ``poll_from`` without evaluating ``stop_when``, then on
+        to ``until`` evaluating it after every callback.  The
+        ``max_events`` budget is shared by both legs, so the guard trips
+        at the same event a single ``run`` would trip at.
+        """
+        before = self.events_executed
+        self.run(until=min(poll_from, until), max_events=max_events)
+        if max_events is not None:
+            max_events -= self.events_executed - before
+        return self.run(until=until, max_events=max_events, stop_when=stop_when)

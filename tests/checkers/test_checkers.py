@@ -178,6 +178,26 @@ class TestConsensusChecker:
 
 
 class TestAbcastChecker:
+    def test_detects_validity_violation_at_the_end_of_a_long_trace(self):
+        """Thousands of abroadcasts, all adelivered by their sender
+        except the last: the one missing id must still be named."""
+        count = 5000
+        events = []
+        for seq in range(1, count + 1):
+            message = msg(1 + seq % 2, seq)
+            events.append(
+                ABroadcastEvent(time=0.0, process=message.sender,
+                                message=message)
+            )
+            if seq < count:
+                events.append(
+                    ADeliverEvent(time=0.1, process=message.sender,
+                                  message=message)
+                )
+        last = MessageId(1 + count % 2, count)
+        with pytest.raises(ProtocolViolationError, match=f"Validity.*{last}"):
+            AbcastChecker(trace_of(*events), CFG).check_validity()
+
     def test_detects_total_order_violation(self):
         trace = trace_of(
             ABroadcastEvent(time=0.0, process=1, message=M1),

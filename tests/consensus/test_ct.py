@@ -86,11 +86,12 @@ class TestOriginalCT:
         value = frozenset({MessageId(1, 1)})
         services[1].propose(1, value)
         services[3].propose(1, value)
+        # Deciding retires the instance; hold it from the propose on.
+        instance = services[1]._instances[1]
         fabric.run()
         assert decisions[1][1] == value
         assert decisions[3][1] == value
         # The decision needed more than one round.
-        instance = services[1]._instances[1]
         assert instance.rounds_executed >= 2
 
     def test_coordinator_crash_after_proposal_still_agrees(self):

@@ -57,9 +57,11 @@ class TestOriginalMR:
         value = frozenset({MessageId(1, 1)})
         for pid in (1, 2, 3):
             services[pid].propose(1, value)
+        # Deciding retires the instance; hold it from the propose on.
+        inst = services[1]._instances[1]
         fabric.run()
         assert all(decisions[pid][1] == value for pid in (1, 2, 3))
-        assert services[1]._instances[1].rounds_executed == 1
+        assert inst.rounds_executed == 1
         ConsensusChecker(fabric.trace, fabric.config).check_all()
 
     def test_two_step_decision_in_good_round(self):

@@ -61,8 +61,9 @@ class TestEchoMechanics:
         value = frozenset({MessageId(1, 1)})
         services[1].propose(1, value)
         services[3].propose(1, value)
-        fabric.run()
+        # Deciding retires the instance; hold it from the propose on.
         inst = services[1]._instances[1]
+        fabric.run()
         # Round 1's echoes at p1 include ⊥ values (suspicion-driven).
         assert BOTTOM in inst.echoes[1].values()
         assert decisions[1][1] == value  # later round decided
@@ -96,9 +97,11 @@ class TestEchoMechanics:
         value = frozenset({MessageId(1, 1)})
         for pid in fabric.config.processes:
             services[pid].propose(1, value)
+        # Deciding retires the instances; hold them from the propose on.
+        instances = [services[pid]._instances[1]
+                     for pid in fabric.config.processes]
         fabric.run()
-        for pid in fabric.config.processes:
-            inst = services[pid]._instances[pid in services and 1]
+        for inst in instances:
             assert inst.echoed == {1}  # only round 1 was needed
 
 

@@ -101,8 +101,9 @@ class TestRoundAborts:
         services[2].propose(1, ids(a), stores[2].rcv)
         services[1].propose(1, ids(b), stores[1].rcv)
         services[3].propose(1, ids(b), stores[3].rcv)
-        fabric.run()
+        # Deciding retires the instance; hold it from the propose on.
         inst = services[2]._instances[1]
+        fabric.run()
         assert inst.rounds_executed >= 2  # round 1 aborted on nacks
         assert decisions[2][1] == ids(b)
 
@@ -115,8 +116,9 @@ class TestRoundAborts:
             services[pid].propose(
                 1, ids(a) if pid == 2 else frozenset(), stores[pid].rcv
             )
-        fabric.run()
+        # Deciding retires the instance; hold it from the propose on.
         inst = services[2]._instances[1]
+        fabric.run()
         assert 1 in inst.nacks and len(inst.nacks[1]) >= 1
 
 
@@ -195,9 +197,10 @@ class TestEstimateSeparation:
         services[2].propose(1, ids(a), stores[2].rcv)
         services[1].propose(1, ids(b), stores[1].rcv)
         services[3].propose(1, ids(b), stores[3].rcv)
+        # Deciding retires the instance; hold it from the propose on.
+        inst3 = services[3]._instances[1]
         fabric.run()
         # p3 coordinates round 2.  Whatever it relayed, its own estimate
         # must never have become {a} (it lacks msgs({a})).
-        inst3 = services[3]._instances[1]
         assert inst3.estimate != ids(a)
         assert decisions[3][1] == ids(b)

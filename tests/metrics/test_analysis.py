@@ -40,26 +40,26 @@ class TestBatchStatistics:
 class TestRoundStatistics:
     def test_good_runs_decide_in_round_one(self):
         system = driven_system(throughput=100.0)
-        stats = round_statistics(system)
+        stats = round_statistics(system.trace)
         assert stats.instances > 0
         assert stats.first_round_fraction > 0.9
         assert stats.decision_rounds.minimum == 1.0
 
     def test_crash_forces_later_rounds(self):
         system = driven_system(throughput=200.0, crash=(2, 0.1))
-        stats = round_statistics(system)
+        stats = round_statistics(system.trace)
         assert stats.first_round_fraction < 0.9
         assert stats.decision_rounds.maximum >= 2
 
     def test_churn_at_least_decision(self):
         system = driven_system()
-        stats = round_statistics(system)
+        stats = round_statistics(system.trace)
         assert stats.churn_rounds.maximum >= stats.decision_rounds.maximum
 
     def test_empty_system(self):
         spec = StackSpec(n=3, abcast="indirect", consensus="ct-indirect")
         system = build_system(spec)
-        stats = round_statistics(system)
+        stats = round_statistics(system.trace)
         assert stats.instances == 0
         assert stats.first_round_fraction == 0.0
 
